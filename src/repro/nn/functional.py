@@ -21,6 +21,7 @@ from .tensor import Tensor, _unbroadcast, as_tensor, is_grad_enabled
 
 __all__ = [
     "conv2d",
+    "batch_norm",
     "conv_bn_relu",
     "max_pool2d",
     "avg_pool2d",
@@ -680,20 +681,196 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
     return x * Tensor(mask.astype(x.data.dtype))
 
 
+#: Batch-norm reduction axes over NCHW: statistics are per channel.
+_BN_AXES = (0, 2, 3)
+
+
+def _scratch(bufs: dict, key: str, like: np.ndarray) -> np.ndarray:
+    """``bufs[key]``, allocated shaped like ``like`` on first use."""
+    buf = bufs.get(key)
+    if buf is None:
+        buf = bufs[key] = np.empty(like.shape, dtype=like.dtype)
+    return buf
+
+
+def _bn_forward(
+    x: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    weight: Optional[np.ndarray],
+    bias: Optional[np.ndarray],
+    training: bool,
+    momentum: float,
+    eps: float,
+    bufs: Optional[dict] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch-norm forward over an NCHW array; returns ``(y, xhat, std)``.
+
+    Training mode normalises with the biased batch statistics and updates
+    ``running_mean`` / ``running_var`` in place; eval mode normalises with
+    the running estimates.  ``xhat`` and the per-channel ``std`` (shape
+    ``(1, C, 1, 1)``) are what :func:`_bn_backward` needs.  The
+    statistics are ``sum * (1/m)`` means and ``x / sqrt(var + eps)``, the
+    same expressions the tensor-op formulation evaluates, so outputs and
+    running statistics are bit-identical to it.
+
+    ``bufs``, when given, is a per-call-site scratch dict reused across
+    calls (tape replays); values are fully rewritten each call.
+    """
+    if bufs is None:
+        bufs = {}
+    dt = x.dtype.type
+    diff = _scratch(bufs, "diff", x)
+    xhat = _scratch(bufs, "xhat", x)
+    if training:
+        inv_m = dt(1.0 / float(x.size // x.shape[1]))
+        mu = x.sum(axis=_BN_AXES, keepdims=True) * inv_m
+        np.subtract(x, mu, out=diff)
+        np.multiply(diff, diff, out=xhat)
+        sigma2 = xhat.sum(axis=_BN_AXES, keepdims=True) * inv_m
+        running_mean[...] = (1 - momentum) * running_mean + momentum * mu.reshape(-1)
+        running_var[...] = (
+            (1 - momentum) * running_var + momentum * sigma2.reshape(-1)
+        )
+        std = np.sqrt(sigma2 + dt(eps))
+    else:
+        np.subtract(x, running_mean.reshape(1, -1, 1, 1), out=diff)
+        std = np.sqrt(running_var.reshape(1, -1, 1, 1) + eps)
+    np.divide(diff, std, out=xhat)
+    if weight is None:
+        return xhat, xhat, std
+    y = _scratch(bufs, "y", x)
+    np.multiply(xhat, weight.reshape(1, -1, 1, 1), out=y)
+    y += bias.reshape(1, -1, 1, 1)
+    return y, xhat, std
+
+
+def _bn_backward(
+    g: np.ndarray,
+    xhat: np.ndarray,
+    std: np.ndarray,
+    weight: Optional[np.ndarray],
+    training: bool,
+    bufs: Optional[dict] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Analytic batch-norm backward; returns ``(dx, dgamma, dbeta)``.
+
+    With ``g = dL/dy`` and ``gh = g * gamma`` (``g`` when not affine),
+    training mode applies ``dx = inv_std/m * (m*gh - sum(gh) -
+    xhat*sum(gh*xhat))`` per channel; eval mode, where the statistics are
+    constants, ``dx = gh / std``.  ``dgamma = sum(g*xhat)`` and ``dbeta =
+    sum(g)`` when affine, else ``None``.  ``bufs`` as in
+    :func:`_bn_forward`; the returned ``dx`` aliases it, so callers
+    consume it before the next call.
+    """
+    if bufs is None:
+        bufs = {}
+    # Per-channel sums of g and g*xhat: dbeta/dgamma when affine, and
+    # (scaled by gamma) the two reductions the training-mode dx needs.
+    s1 = s2 = None
+    if weight is not None or training:
+        s1 = g.sum(axis=_BN_AXES)
+        tmp = _scratch(bufs, "tmp", g)
+        s2 = np.multiply(g, xhat, out=tmp).sum(axis=_BN_AXES)
+    dgamma, dbeta = (s2, s1) if weight is not None else (None, None)
+    dx = _scratch(bufs, "dx", g)
+    if weight is not None:
+        np.multiply(g, weight.reshape(1, -1, 1, 1), out=dx)
+        gh = dx
+    else:
+        gh = g
+    if not training:
+        np.divide(gh, std, out=dx)
+        return dx, dgamma, dbeta
+    if weight is not None:
+        s1 = s1 * weight
+        s2 = s2 * weight
+    m = g.size // g.shape[1]
+    np.multiply(gh, m, out=dx)
+    dx -= s1.reshape(1, -1, 1, 1)
+    dx -= np.multiply(xhat, s2.reshape(1, -1, 1, 1), out=tmp)
+    dx *= (1.0 / std) / m
+    return dx, dgamma, dbeta
+
+
+def batch_norm(
+    x: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    weight: Optional[Tensor] = None,
+    bias: Optional[Tensor] = None,
+    training: bool = False,
+    momentum: float = 0.1,
+    eps: float = 1e-5,
+) -> Tensor:
+    """Batch normalisation over the channel axis of NCHW input.
+
+    One graph node with an analytic backward (see :func:`_bn_backward`);
+    arguments mirror ``torch.nn.functional.batch_norm``.  Training mode
+    normalises with batch statistics and updates ``running_mean`` /
+    ``running_var`` in place; eval mode normalises with them.  ``weight``
+    and ``bias`` (shape ``(C,)``) are both given or both ``None``.
+
+    Under tape capture the replay thunk recomputes the forward — running
+    statistic update included — from the arrays passed here, so callers
+    must update those buffers in place (the ``apply_state`` contract).
+    """
+    if x.ndim != 4:
+        raise ValueError(f"batch_norm expects NCHW input, got shape {x.shape}")
+    affine = weight is not None
+    if affine != (bias is not None):
+        raise ValueError("batch_norm needs both weight and bias, or neither")
+    # Scratch reused by the retained closures across tape replays; an
+    # eager call runs each closure once and keeps no scratch alive.
+    taping = _ag._TAPE is not None
+    _fw = {} if taping else None
+    _bw = {} if taping else None
+    xhat = std = None
+
+    def _fwd() -> np.ndarray:
+        nonlocal xhat, std
+        y, xhat, std = _bn_forward(
+            x.data, running_mean, running_var,
+            weight.data if affine else None, bias.data if affine else None,
+            training, momentum, eps, bufs=_fw,
+        )
+        return y
+
+    def backward(grad: np.ndarray) -> None:
+        dx, dgamma, dbeta = _bn_backward(
+            grad, xhat, std, weight.data if affine else None, training,
+            bufs=_bw,
+        )
+        if x.requires_grad:
+            x._accumulate(dx)
+        if affine:
+            if weight.requires_grad:
+                weight._accumulate(dgamma)
+            if bias.requires_grad:
+                bias._accumulate(dbeta)
+
+    parents = (x, weight, bias) if affine else (x,)
+    out_t = Tensor._make(_fwd(), parents, backward)
+    if taping:
+
+        def replay() -> None:
+            out_t.data = _fwd()
+
+        _ag._TAPE.append(("batch_norm", replay))
+    return out_t
+
+
 def conv_bn_relu(x: Tensor, conv, bn, with_relu: bool = True) -> Tensor:
     """Fused conv → batch-norm [→ ReLU] primitive (one graph node).
 
     ``conv`` is a bias-free :class:`repro.nn.Conv2d`, ``bn`` a
-    :class:`repro.nn.BatchNorm2d` over ``conv.out_channels``.  Training
-    mode normalises with batch statistics, updates the running estimates
-    (a side effect re-run on every tape replay), and backpropagates with
-    the analytic fused batch-norm backward.  Eval mode folds the BN
-    scale into the convolution weights and the shift into the epilogue —
-    one einsum instead of conv-then-normalise.
+    :class:`repro.nn.BatchNorm2d` over ``conv.out_channels``.  The
+    batch-norm forward and backward are :func:`batch_norm`'s own helpers,
+    so both modes behave as the unfused layers do (training mode updates
+    the running estimates, a side effect re-run on every tape replay).
 
-    Opt-in (``tape_fusion``): the fused backward associates the
-    reductions differently from the unfused composition, so results are
-    tolerance-equal, not bit-equal, to the eager reference.
+    Opt-in (``tape_fusion``) and tolerance-verified against the unfused
+    eager reference rather than held to bit-equality.
     """
     weight = conv.weight
     stride = _pair(conv.stride)
@@ -710,7 +887,9 @@ def conv_bn_relu(x: Tensor, conv, bn, with_relu: bool = True) -> Tensor:
     # retained backward closure always reads current values.
     sv: dict = {}
     # Scratch reused across calls of the retained closures (replays).
+    _fw: dict = {}
     _bw: dict = {}
+    _bnw: dict = {}
 
     def _fwd() -> np.ndarray:
         cols = _extract_windows(
@@ -720,72 +899,32 @@ def conv_bn_relu(x: Tensor, conv, bn, with_relu: bool = True) -> Tensor:
         sv["cols"] = cols
         cols_r = cols.reshape(n, groups, cg * kh * kw, oh * ow)
         w_r = weight.data.reshape(groups, oc // groups, cg * kh * kw)
+        y = _einsum2("gok,ngkp->ngop", w_r, cols_r).reshape(n, oc, oh, ow)
         training = bn.training
-        if training:
-            y = _einsum2("gok,ngkp->ngop", w_r, cols_r).reshape(n, oc, oh, ow)
-            mean = y.mean(axis=(0, 2, 3))
-            var = y.var(axis=(0, 2, 3))
-            bn.running_mean[...] = (
-                (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
-            )
-            bn.running_var[...] = (
-                (1 - bn.momentum) * bn.running_var + bn.momentum * var
-            )
-            inv_std = 1.0 / np.sqrt(var + bn.eps)
-            xhat = (y - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-            if affine:
-                out = xhat * bn.weight.data.reshape(1, -1, 1, 1)
-                out += bn.bias.data.reshape(1, -1, 1, 1)
-            else:
-                out = xhat.copy()
-        else:
-            # Eval: fold scale into the weights, shift into the epilogue.
-            inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-            scale = inv_std * (bn.weight.data if affine else 1.0)
-            shift = -bn.running_mean * scale
-            if affine:
-                shift = shift + bn.bias.data
-            w_fold = w_r * scale.reshape(groups, oc // groups, 1)
-            out = _einsum2("gok,ngkp->ngop", w_fold, cols_r).reshape(n, oc, oh, ow)
-            out += shift.reshape(1, -1, 1, 1)
-            xhat = None
-            sv["scale"] = scale
+        out, xhat, std = _bn_forward(
+            y, bn.running_mean, bn.running_var,
+            bn.weight.data if affine else None,
+            bn.bias.data if affine else None,
+            training, bn.momentum, bn.eps, bufs=_fw,
+        )
         if with_relu:
             mask = out > 0
             out = np.where(mask, out, 0.0)
             sv["mask"] = mask
-        sv.update(
-            cols_r=cols_r, w_r=w_r, inv_std=inv_std, xhat=xhat, training=training
-        )
+        sv.update(cols_r=cols_r, xhat=xhat, std=std, training=training)
         return out
 
     def backward(grad: np.ndarray) -> None:
         g = grad * sv["mask"] if with_relu else grad
-        if sv["training"]:
-            xhat = sv["xhat"]
-            if affine:
-                if bn.weight.requires_grad:
-                    bn.weight._accumulate((g * xhat).sum(axis=(0, 2, 3)))
-                if bn.bias.requires_grad:
-                    bn.bias._accumulate(g.sum(axis=(0, 2, 3)))
-                dxhat = g * bn.weight.data.reshape(1, -1, 1, 1)
-            else:
-                dxhat = g
-            m = float(n * oh * ow)
-            s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            dy = (sv["inv_std"].reshape(1, -1, 1, 1) / m) * (
-                m * dxhat - s1 - xhat * s2
-            )
-        else:
-            if affine:
-                # Eval-mode dgamma/dbeta via the unfolded normalised input.
-                if bn.weight.requires_grad or bn.bias.requires_grad:
-                    raise NotImplementedError(
-                        "eval-mode fused conv_bn_relu does not support "
-                        "affine gradient accumulation"
-                    )
-            dy = g * sv["scale"].reshape(1, -1, 1, 1)
+        dy, dgamma, dbeta = _bn_backward(
+            g, sv["xhat"], sv["std"], bn.weight.data if affine else None,
+            sv["training"], bufs=_bnw,
+        )
+        if affine:
+            if bn.weight.requires_grad:
+                bn.weight._accumulate(dgamma)
+            if bn.bias.requires_grad:
+                bn.bias._accumulate(dbeta)
         grad_r = dy.reshape(n, groups, oc // groups, oh * ow)
         if weight.requires_grad:
             gw = _einsum2("ngop,ngkp->gok", grad_r, sv["cols_r"])

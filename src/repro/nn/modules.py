@@ -498,56 +498,16 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError(f"BatchNorm2d expects NCHW input, got shape {x.shape}")
-        if self.training:
-            # Differentiable normalisation via tensor ops (grads flow
-            # through the batch statistics).  The batch statistics are
-            # computed exactly once — the running-average update below
-            # reads the same ``mu``/``sigma2`` arrays the graph uses, so
-            # training costs two reduction passes per call, not five.
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            diff = x - mu
-            sigma2 = (diff * diff).mean(axis=(0, 2, 3), keepdims=True)
-
-            def _bn_stats(bn=self, m=mu, v=sigma2) -> None:
-                bn.running_mean[...] = (
-                    (1 - bn.momentum) * bn.running_mean
-                    + bn.momentum * m.data.reshape(-1)
-                )
-                bn.running_var[...] = (
-                    (1 - bn.momentum) * bn.running_var
-                    + bn.momentum * v.data.reshape(-1)
-                )
-
-            _bn_stats()
-            if _ag._TAPE is not None:
-                # Replays must update the running statistics at the same
-                # tape position (the eager call above already did it for
-                # the capture step itself).  ``m.data``/``v.data`` are
-                # the replay-refreshed statistic buffers.
-                _ag._TAPE.append(("bn_stats", _bn_stats))
-            xhat = diff / (sigma2 + self.eps).sqrt()
-        else:
-            mu = self.running_mean.reshape(1, -1, 1, 1)
-            sigma = np.sqrt(self.running_var.reshape(1, -1, 1, 1) + self.eps)
-            mu_t, sigma_t = Tensor(mu), Tensor(sigma)
-            if _ag._TAPE is not None:
-                # Constants derived from buffers: refresh on replay so a
-                # captured eval-mode graph tracks applied state.
-                def _bn_consts(bn=self, m=mu_t, s=sigma_t) -> None:
-                    m.data = bn.running_mean.reshape(1, -1, 1, 1)
-                    s.data = np.sqrt(
-                        bn.running_var.reshape(1, -1, 1, 1) + bn.eps
-                    )
-
-                _ag._TAPE.append(("bn_consts", _bn_consts))
-            xhat = (x - mu_t) / sigma_t
-        if self.affine:
-            gamma = self.weight.reshape(1, self.num_features, 1, 1)
-            beta = self.bias.reshape(1, self.num_features, 1, 1)
-            return xhat * gamma + beta
-        return xhat
+        return F.batch_norm(
+            x,
+            self.running_mean,
+            self.running_var,
+            self.weight,
+            self.bias,
+            training=self.training,
+            momentum=self.momentum,
+            eps=self.eps,
+        )
 
 
 class MaxPool2d(Module):

@@ -53,7 +53,6 @@ __all__ = [
     "fusion_enabled",
     "capturing",
     "is_capturing",
-    "record_effect",
     "CompiledStep",
     "TapeStats",
     "stats",
@@ -134,16 +133,6 @@ def capturing(entries: List[Tuple[str, Callable[[], None]]]):
 
 def is_capturing() -> bool:
     return _tensor._TAPE is not None
-
-
-def record_effect(name: str, effect: Callable[[], None]) -> None:
-    """Record a non-differentiable side effect (e.g. batch-norm running
-    statistics) at the current tape position.  No-op unless capturing —
-    the *eager* code performs the effect itself during the capture step;
-    only replays invoke ``effect``."""
-    tape = _tensor._TAPE
-    if tape is not None:
-        tape.append((name, effect))
 
 
 class TapeStats:

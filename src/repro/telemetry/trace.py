@@ -456,7 +456,14 @@ def render_trace(summary: Dict, top: int = 5, max_round_rows: int = 20) -> str:
 
     lines.append("")
     lines.append(f"## Slowest participants (top {top} by mean dispatch latency)")
-    if summary["participants"]:
+    if not summary["participants"]:
+        lines.append("(no dispatch events)")
+    elif all(e["latency_max_s"] == 0.0 for e in summary["participants"]):
+        lines.append(
+            "(dispatch latency is not simulated for this run: "
+            "no bandwidth traces configured)"
+        )
+    else:
         lines.append(
             markdown_table(
                 ["participant", "dispatches", "mean_latency_s", "max_latency_s", "kB_sent"],
@@ -473,8 +480,6 @@ def render_trace(summary: Dict, top: int = 5, max_round_rows: int = 20) -> str:
                 precision=4,
             )
         )
-    else:
-        lines.append("(no dispatch events)")
 
     lines.append("")
     lines.append("## Per-round summary")

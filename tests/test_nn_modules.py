@@ -190,10 +190,98 @@ class TestBatchNorm:
 
         assert_gradients_close(fn, [x, bn.weight, bn.bias], rtol=1e-3, atol=1e-6)
 
+    def test_gradcheck_training_mode_affine_false(self):
+        # The search-phase configuration: no learnable scale/shift.
+        bn = nn.BatchNorm2d(3, affine=False)
+        x = Tensor(RNG.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        w = RNG.normal(size=(4, 3, 3, 3))
+
+        def fn():
+            bn.running_mean[...] = 0
+            bn.running_var[...] = 1
+            return (bn(x) * Tensor(w)).sum()
+
+        assert_gradients_close(fn, [x], rtol=1e-3, atol=1e-6)
+
     def test_rejects_non_nchw(self):
         bn = nn.BatchNorm2d(3)
         with pytest.raises(ValueError):
             bn(Tensor(RNG.normal(size=(2, 3))))
+
+    @staticmethod
+    def _composite_reference(bn, x):
+        """Batch norm composed from generic tensor ops: the independent
+        reference the ``batch_norm`` primitive is checked against."""
+        if bn.training:
+            mu = x.mean(axis=(0, 2, 3), keepdims=True)
+            diff = x - mu
+            sigma2 = (diff * diff).mean(axis=(0, 2, 3), keepdims=True)
+            m = bn.momentum
+            bn.running_mean[...] = (
+                (1 - m) * bn.running_mean + m * mu.data.reshape(-1)
+            )
+            bn.running_var[...] = (
+                (1 - m) * bn.running_var + m * sigma2.data.reshape(-1)
+            )
+            xhat = diff / (sigma2 + bn.eps).sqrt()
+        else:
+            mu = Tensor(bn.running_mean.reshape(1, -1, 1, 1))
+            sigma = Tensor(np.sqrt(bn.running_var.reshape(1, -1, 1, 1) + bn.eps))
+            xhat = (x - mu) / sigma
+        if bn.affine:
+            c = bn.num_features
+            return xhat * bn.weight.reshape(1, c, 1, 1) + bn.bias.reshape(1, c, 1, 1)
+        return xhat
+
+    @pytest.mark.parametrize("affine", [True, False])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_composite_reference(self, affine, training, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(2, 9)), int(rng.integers(1, 6)), 5, 4)
+        c = shape[1]
+        x0 = rng.normal(loc=rng.normal() * 3, scale=rng.uniform(0.1, 4), size=shape)
+        upstream = rng.normal(size=shape)
+        state = {
+            "running_mean": rng.normal(size=c),
+            "running_var": rng.uniform(0.5, 2.0, size=c),
+        }
+        if affine:
+            state.update(weight=rng.normal(size=c), bias=rng.normal(size=c))
+
+        results = []
+        for forward in (self._composite_reference, lambda bn, x: bn(x)):
+            bn = nn.BatchNorm2d(c, affine=affine).train(training)
+            bn.apply_state(state, strict=True)
+            x = Tensor(x0.copy(), requires_grad=True)
+            out = forward(bn, x)
+            out.backward(upstream)
+            grads = [x.grad] + ([bn.weight.grad, bn.bias.grad] if affine else [])
+            results.append(
+                (out.data, bn.running_mean.copy(), bn.running_var.copy(), grads)
+            )
+
+        (ref_out, ref_rm, ref_rv, ref_grads), (out, rm, rv, grads) = results
+        # Forward and running statistics: bit-equal.
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(rm, ref_rm)
+        np.testing.assert_array_equal(rv, ref_rv)
+        # Gradients: the analytic backward reassociates the sums.  The
+        # atol term covers entries that cancel to ~0 relative to the
+        # gradient's scale.
+        for got, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(
+                got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()
+            )
+
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_training_call_adds_one_graph_node(self, affine):
+        bn = nn.BatchNorm2d(3, affine=affine)
+        x = Tensor(RNG.normal(size=(4, 3, 2, 2)), requires_grad=True)
+        out = bn(x)
+        parents = (x, bn.weight, bn.bias) if affine else (x,)
+        assert out._parents == parents
+        assert all(p._backward is None for p in parents)
 
 
 class TestEndToEndTraining:

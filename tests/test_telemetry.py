@@ -454,6 +454,35 @@ class TestEndToEnd:
         assert "Wire traffic" in text
         assert "kB_sent" in text
 
+    def test_slowest_participants_table_with_bandwidth_traces(self, run):
+        _, events = run
+        text = render_trace(summarize_trace(events))
+        assert "mean_latency_s" in text
+        assert "latency is not simulated" not in text
+
+    def test_trace_without_bandwidth_traces_reports_no_latency(self, tmp_path):
+        """Without bandwidth traces every dispatch latency is 0: the
+        section says so in one line instead of a table of zeros."""
+        path = tmp_path / "no-traces.jsonl"
+        config = ExperimentConfig.small(
+            seed=3,
+            telemetry_log_path=str(path),
+            **dict(SMALL_RUN, mobility_modes=None),
+        )
+        pipeline = FederatedModelSearch(config)
+        try:
+            pipeline.warm_up()
+            pipeline.search()
+        finally:
+            pipeline.close()
+        events = load_events(str(path))
+        dispatches = [e for e in events if e["event"] == "dispatch"]
+        assert dispatches and all(e["latency_s"] == 0.0 for e in dispatches)
+        text = render_trace(summarize_trace(events))
+        section = text.split("## Slowest participants")[1].split("##")[0]
+        assert "dispatch latency is not simulated for this run" in section
+        assert "mean_latency_s" not in section
+
     def test_trace_cli(self, run, tmp_path, capsys):
         from repro.__main__ import main
 
