@@ -73,7 +73,7 @@ def main() -> None:
         retrain_epochs=1,
         backend="socket",
         socket_workers=addresses,
-        measure_wire_bytes=True,  # exact npz sizes alongside Fig. 7 estimate
+        measure_wire_bytes=True,  # exact packed sizes alongside Fig. 7 estimate
         delta_dispatch=True,  # ship only changed params after round 1
         tracing_enabled=True,  # cross-process spans on every task
         trace_ops=True,  # per-op forward profile on the workers
@@ -108,7 +108,7 @@ def main() -> None:
     if wire.get("count"):
         print(
             f"  measured sub-model payload: mean {wire['mean'] / 1e3:.1f} kB "
-            f"(exact npz size; analytic estimate "
+            f"(exact packed size; analytic estimate "
             f"{report.mean_submodel_bytes / 1e3:.1f} kB)"
         )
 

@@ -305,7 +305,7 @@ class ExperimentConfig:
     #: wire precision negotiated at hello; "float64" is lossless
     #: (bit-identical runs), "float32"/"float16" trade precision for bytes
     socket_wire_dtype: str = "float64"
-    #: also measure exact on-wire payload sizes (npz container +
+    #: also measure exact on-wire payload sizes (packed blob +
     #: compression, ``repro.nn.payload_size_bytes``) each round and emit
     #: them through telemetry next to the analytic Fig. 7 estimates
     measure_wire_bytes: bool = False

@@ -70,7 +70,7 @@ class SearchServerConfig:
     compensation_lambda: float = 0.5
     transmission_strategy: str = "adaptive"
     #: also compute the *exact* on-wire size of every dispatched
-    #: sub-model (npz container + compression — what the socket
+    #: sub-model (packed blob + compression — what the socket
     #: transport actually ships) and report measured transmission
     #: latencies through telemetry, next to the analytic Fig. 7 numbers.
     #: Purely observational: assignment, delays, and results are

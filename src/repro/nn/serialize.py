@@ -10,15 +10,16 @@ Two size accountings coexist deliberately:
 
 * :func:`state_size_bytes` — the *analytic* estimate (4 bytes/scalar,
   float32), matching the paper's Fig. 7 cost model; and
-* :func:`payload_size_bytes` — the *exact* on-wire size of the npz
-  container :func:`state_to_bytes` produces (including zip overhead and
+* :func:`payload_size_bytes` — the *exact* on-wire size of the packed
+  blob :func:`pack_state` produces (including per-entry headers and
   optional zlib compression), which is what the transport layer actually
   sends.
 """
 
 from __future__ import annotations
 
-import io
+import math
+import struct
 import zlib
 from typing import Dict
 
@@ -29,8 +30,6 @@ from .modules import Module
 
 __all__ = [
     "WIRE_DTYPES",
-    "state_to_bytes",
-    "bytes_to_state",
     "arena_to_bytes",
     "arena_from_bytes",
     "pack_state",
@@ -57,41 +56,18 @@ WIRE_DTYPES = {
     "float64": np.float64,
 }
 
-
-def state_to_bytes(
-    state: Dict[str, np.ndarray], *, dtype: str = "float32", compress: bool = False
-) -> bytes:
-    """Serialize a state dict to bytes (npz container).
-
-    ``dtype`` selects the wire precision (see :data:`WIRE_DTYPES`);
-    ``compress=True`` additionally zlib-compresses the container.  The
-    defaults (float32, uncompressed) match the historical wire format.
-    The output is deterministic: the same state always produces the same
-    bytes.
-    """
-    if dtype not in WIRE_DTYPES:
-        raise ValueError(
-            f"dtype must be one of {sorted(WIRE_DTYPES)}, got {dtype!r}"
-        )
-    buffer = io.BytesIO()
-    compact = {k: np.asarray(v, dtype=WIRE_DTYPES[dtype]) for k, v in state.items()}
-    np.savez(buffer, **compact)
-    payload = buffer.getvalue()
-    if compress:
-        payload = zlib.compress(payload)
-    return payload
-
-
-def bytes_to_state(payload: bytes, *, compressed: bool = False) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`state_to_bytes` (arrays come back as float64)."""
-    if compressed:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise ValueError(f"corrupt compressed state payload: {exc}") from exc
-    buffer = io.BytesIO(payload)
-    with np.load(buffer) as archive:
-        return {k: archive[k].astype(np.float64) for k in archive.files}
+#: The only element types a packed blob may name, keyed by their stored
+#: ``dtype.str``: the wire precisions in either byte order.  Anything
+#: else a peer sends (strings, complex, objects) is rejected on decode.
+_PACKED_DTYPES = {
+    dt.str.encode("ascii"): dt
+    for dt in (
+        np.dtype(wire).newbyteorder(order)
+        for wire in WIRE_DTYPES.values()
+        for order in "<>"
+    )
+}
+_NAME_LEN = struct.Struct(">H")
 
 
 def pack_state(
@@ -99,17 +75,16 @@ def pack_state(
 ) -> bytes:
     """Serialize a state dict to a *compact* binary blob.
 
-    The npz container :func:`state_to_bytes` produces costs ~300 bytes
-    of zip/npy headers **per array** — more than the array data itself at
-    simulator scale.  This packed format spends ~40 bytes per entry::
+    An npz container costs ~300 bytes of zip/npy headers **per array**
+    — more than the array data itself at simulator scale.  This packed
+    format spends ~40 bytes per entry::
 
         name_len (u16 BE) | name utf-8 | dtype_len (u8) | dtype.str |
         ndim (u8) | dims (u32 BE each) | raw C-order bytes
 
     Entries keep dict order; the stored ``dtype.str`` carries the byte
-    order, so the blob is self-describing and platform-portable.  Used
-    by the delta-dispatch wire path (negotiated at hello); the default
-    npz path and its byte-exact historical format are untouched.
+    order, so the blob is self-describing and platform-portable.  It is
+    the tensor-blob format of every socket task and update.
     """
     if dtype not in WIRE_DTYPES:
         raise ValueError(
@@ -118,7 +93,9 @@ def pack_state(
     wire = WIRE_DTYPES[dtype]
     parts = []
     for name, value in state.items():
-        array = np.ascontiguousarray(np.asarray(value, dtype=wire))
+        # ``tobytes`` emits C order for any layout; skipping
+        # ``ascontiguousarray`` keeps 0-d entries 0-d on the wire.
+        array = np.asarray(value, dtype=wire)
         name_bytes = name.encode("utf-8")
         dtype_bytes = array.dtype.str.encode("ascii")
         if len(name_bytes) > 0xFFFF or len(dtype_bytes) > 0xFF or array.ndim > 0xFF:
@@ -198,42 +175,63 @@ def pack_state_via_arena(
 
 
 def unpack_state(payload: bytes, *, compressed: bool = False) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`pack_state` (arrays come back as float64)."""
+    """Inverse of :func:`pack_state` (arrays come back as float64).
+
+    Only float16/float32/float64 entries (either byte order) and unique
+    names are accepted; anything else raises ``ValueError``, as does a
+    truncated blob.  Entries are read straight from a ``memoryview`` of
+    ``payload``, so the only copy per entry is the float64 conversion.
+    """
     if compressed:
         try:
             payload = zlib.decompress(payload)
         except zlib.error as exc:
             raise ValueError(f"corrupt compressed state payload: {exc}") from exc
+    buf = memoryview(payload).cast("B")
+    total = len(buf)
     state: Dict[str, np.ndarray] = {}
     offset = 0
-    total = len(payload)
 
-    def take(count: int) -> bytes:
-        nonlocal offset
+    def need(count: int) -> None:
         if offset + count > total:
             raise ValueError(
                 f"truncated packed state blob at byte {offset} "
                 f"(wanted {count} more of {total})"
             )
-        chunk = payload[offset : offset + count]
-        offset += count
-        return chunk
 
     while offset < total:
-        name_len = int.from_bytes(take(2), "big")
-        name = take(name_len).decode("utf-8")
-        dtype_len = take(1)[0]
-        try:
-            dt = np.dtype(take(dtype_len).decode("ascii"))
-        except (TypeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"packed state entry {name!r} has a bad dtype") from exc
-        ndim = take(1)[0]
-        shape = tuple(int.from_bytes(take(4), "big") for _ in range(ndim))
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = take(size * dt.itemsize)
+        need(2)
+        (name_len,) = _NAME_LEN.unpack_from(buf, offset)
+        offset += 2
+        need(name_len)
+        name = str(buf[offset : offset + name_len], "utf-8")
+        offset += name_len
+        if name in state:
+            raise ValueError(f"packed state blob repeats entry {name!r}")
+        need(1)
+        dtype_len = buf[offset]
+        offset += 1
+        need(dtype_len)
+        dtype_str = bytes(buf[offset : offset + dtype_len])
+        dt = _PACKED_DTYPES.get(dtype_str)
+        if dt is None:
+            raise ValueError(
+                f"packed state entry {name!r} has a bad dtype {dtype_str!r} "
+                "(only float16/float32/float64 are accepted)"
+            )
+        offset += dtype_len
+        need(1)
+        ndim = buf[offset]
+        offset += 1
+        need(4 * ndim)
+        shape = struct.unpack_from(f">{ndim}I", buf, offset)
+        offset += 4 * ndim
+        count = math.prod(shape)
+        need(count * dt.itemsize)
         state[name] = (
-            np.frombuffer(data, dtype=dt).reshape(shape).astype(np.float64)
+            np.frombuffer(buf, dt, count, offset).reshape(shape).astype(np.float64)
         )
+        offset += count * dt.itemsize
     return state
 
 
@@ -242,10 +240,10 @@ def arena_to_bytes(
 ) -> bytes:
     """Serialize (a subset of) a :class:`ParameterArena` as one buffer write.
 
-    Where :func:`state_to_bytes` / :func:`pack_state` loop over per-name
-    arrays, this emits the arena's contiguous buffer directly — a single
-    ``tobytes`` for the whole model (or one write per merged range for a
-    subset) plus a JSON ``name → shape`` index.  Inverse:
+    Where :func:`pack_state` loops over per-name arrays, this emits the
+    arena's contiguous buffer directly — a single ``tobytes`` for the
+    whole model (or one write per merged range for a subset) plus a JSON
+    ``name → shape`` index.  Inverse:
     :func:`arena_from_bytes`.
     """
     return arena.to_bytes(names, compress=compress)
@@ -276,11 +274,11 @@ def payload_size_bytes(
 ) -> int:
     """*Exact* on-wire size of ``state`` as the transport would send it.
 
-    Unlike :func:`state_size_bytes` this includes the npz container (zip
-    headers, per-array npy preambles) and reflects the chosen wire
-    precision and optional zlib compression.
+    Unlike :func:`state_size_bytes` this includes the packed blob's
+    per-entry headers (see :func:`pack_state`) and reflects the chosen
+    wire precision and optional zlib compression.
     """
-    return len(state_to_bytes(state, dtype=dtype, compress=compressed))
+    return len(pack_state(state, dtype=dtype, compress=compressed))
 
 
 def model_size_megabytes(model: Module) -> float:

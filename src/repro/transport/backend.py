@@ -278,7 +278,7 @@ class SocketBackend:
         #: derive any participant's spec on demand from it, so the init
         #: payload stays O(dataset + recipe) instead of O(population)
         self._population = population
-        #: server parameter arena (see bind_arena): packed blobs are
+        #: server parameter arena (see bind_arena): task blobs are
         #: gathered from its contiguous buffer instead of per-name arrays
         self._arena = None
         if not self._specs and population is None:
@@ -341,14 +341,14 @@ class SocketBackend:
             self._endpoints = []
 
     def bind_arena(self, arena) -> None:
-        """Let packed dispatch gather blobs straight from ``arena``.
+        """Let dispatch gather task blobs straight from ``arena``.
 
         The server calls this once after construction with its
-        :class:`~repro.nn.arena.ParameterArena`.  Dispatch then routes
-        delta-packed payloads through
+        :class:`~repro.nn.arena.ParameterArena`.  Every task payload is
+        then packed through
         :func:`~repro.nn.serialize.pack_state_via_arena` — byte-identical
         blobs, assembled from contiguous arena ranges instead of per-name
-        array packing.  A no-op for the unpacked (npz) wire path.
+        array packing whenever the task's entries are arena views.
         """
         self._arena = arena
 
@@ -576,8 +576,9 @@ class SocketBackend:
         Deltas are computed per endpoint at send time, so the second task
         a worker receives in a round already references what the first
         one shipped (versions cannot change mid-round).  With delta off
-        (or a non-delta daemon) the version metadata is stripped, keeping
-        the wire bytes identical to the historical format.
+        (or a daemon without the ``delta`` capability) the version
+        metadata is stripped: every task then ships its full state and no
+        ``state_refs``.
         """
         if not (
             self.delta_dispatch
@@ -623,13 +624,6 @@ class SocketBackend:
             # wire format; its spans are simply absent from the trace.
             task = dataclasses.replace(task, trace=None)
         wire_task = self._encode_for_endpoint(endpoint, task)
-        # Delta-capable daemons also get the compact packed blob (the
-        # npz container's per-array headers dominate at small scales).
-        packed = (
-            self.delta_dispatch
-            and endpoint.delta_ok
-            and task.state_versions is not None
-        )
         resyncing = False
         while True:
             seq = self._next_seq()
@@ -638,8 +632,7 @@ class SocketBackend:
                 seq,
                 compression=self.compression,
                 wire_dtype=self.wire_dtype,
-                packed=packed,
-                arena=self._arena if packed else None,
+                arena=self._arena,
             )
             start = time.perf_counter()
             dispatch_ts = self.telemetry.now()

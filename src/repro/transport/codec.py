@@ -4,11 +4,13 @@ Frame payloads come in three shapes:
 
 * **JSON control payloads** (hello, acks, errors): UTF-8 JSON objects.
 * **Tensor payloads** (tasks, updates): a small JSON meta header plus an
-  array blob built on :func:`repro.nn.state_to_bytes`::
+  array blob built on :func:`repro.nn.pack_state`::
 
-      flags (u8) | meta_len (u32 BE) | meta_json | state blob
+      flags (u8) | meta_len (u32 BE) | meta_json | packed state blob
 
-  ``flags`` bit 0 marks a zlib-compressed blob.  The wire precision
+  ``flags`` bit 0 marks a zlib-compressed blob; bit 1 marks the packed
+  blob format and is always set (payloads without it, such as the npz
+  blobs of earlier releases, are rejected).  The wire precision
   (``float64``/``float32``/``float16``) travels in the meta, so a
   decoder never guesses; both knobs are negotiated once at hello and
   then applied per message.  ``float64`` (the default) is lossless for
@@ -41,10 +43,7 @@ from repro.federated.executor import ParticipantSpec
 from repro.federated.participant import LocalStepTask, ParticipantUpdate
 from repro.nn.serialize import (
     WIRE_DTYPES,
-    bytes_to_state,
-    pack_state,
     pack_state_via_arena,
-    state_to_bytes,
     unpack_state,
 )
 from repro.search_space import ArchitectureMask, SupernetConfig
@@ -73,11 +72,9 @@ __all__ = [
 COMPRESSIONS = ("none", "zlib")
 
 _FLAG_ZLIB = 0x01
-#: blob is the compact ``pack_state`` format instead of npz; used by the
-#: delta-dispatch path (the npz container's ~300 bytes of headers *per
-#: array* dominate at simulator scale).  Negotiated with the ``delta``
-#: hello capability — payloads without the flag are byte-identical to
-#: the historical format.
+#: blob is the compact ``pack_state`` format — the only tensor-blob
+#: format; required on decode so an npz blob from an older peer fails
+#: loudly instead of being misparsed.
 _FLAG_PACKED = 0x02
 _KNOWN_FLAGS = _FLAG_ZLIB | _FLAG_PACKED
 _META_LEN = struct.Struct(">I")
@@ -150,7 +147,11 @@ def encode_error(seq: int, error: str, **extra) -> bytes:
 
 def decode_error(payload: bytes) -> Tuple[int, str]:
     obj = decode_json(payload)
-    return int(obj.get("seq", -1)), str(obj.get("error", "unknown remote error"))
+    try:
+        seq = int(obj.get("seq", -1))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"malformed error seq: {exc}") from exc
+    return seq, str(obj.get("error", "unknown remote error"))
 
 
 def decode_error_info(payload: bytes) -> Dict:
@@ -205,7 +206,6 @@ def _pack_tensor_payload(
     *,
     compression: str,
     wire_dtype: str,
-    packed: bool = False,
     arena=None,
 ) -> bytes:
     if compression not in COMPRESSIONS:
@@ -216,18 +216,10 @@ def _pack_tensor_payload(
     meta["wire_dtype"] = wire_dtype
     meta_bytes = encode_json(meta)
     compress = compression == "zlib"
-    if packed and arena is not None:
-        # Arena slice gather: byte-identical to pack_state, fewer copies.
-        blob = pack_state_via_arena(
-            arrays, arena, dtype=wire_dtype, compress=compress
-        )
-    elif packed:
-        blob = pack_state(arrays, dtype=wire_dtype, compress=compress)
-    else:
-        blob = state_to_bytes(arrays, dtype=wire_dtype, compress=compress)
-    flags = _FLAG_ZLIB if compression == "zlib" else 0
-    if packed:
-        flags |= _FLAG_PACKED
+    # Arena slice gather where possible; byte-identical to pack_state
+    # (its fallback) either way.
+    blob = pack_state_via_arena(arrays, arena, dtype=wire_dtype, compress=compress)
+    flags = _FLAG_PACKED | (_FLAG_ZLIB if compress else 0)
     return (
         bytes([flags]) + _META_LEN.pack(len(meta_bytes)) + meta_bytes + blob
     )
@@ -249,13 +241,18 @@ def _unpack_tensor_payload(payload: bytes) -> Tuple[Dict, Dict[str, np.ndarray]]
             f"tensor payload advertises a {meta_len}-byte meta header but "
             f"only {len(payload) - 1 - _META_LEN.size} bytes follow"
         )
-    meta = decode_json(payload[1 + _META_LEN.size : blob_start])
-    deserialize = unpack_state if flags & _FLAG_PACKED else bytes_to_state
-    try:
-        arrays = deserialize(
-            payload[blob_start:], compressed=bool(flags & _FLAG_ZLIB)
+    if not flags & _FLAG_PACKED:
+        raise ProtocolError(
+            "tensor payload lacks the packed-blob flag: npz tensor blobs "
+            "are no longer accepted"
         )
-    except Exception as exc:  # corrupt zlib/npz/packed container
+    meta = decode_json(payload[1 + _META_LEN.size : blob_start])
+    try:
+        arrays = unpack_state(
+            memoryview(payload)[blob_start:],
+            compressed=bool(flags & _FLAG_ZLIB),
+        )
+    except Exception as exc:  # corrupt zlib stream or packed blob
         raise ProtocolError(f"corrupt tensor blob: {exc}") from exc
     return meta, arrays
 
@@ -274,16 +271,12 @@ def encode_task(
     *,
     compression: str = "none",
     wire_dtype: str = "float64",
-    packed: bool = False,
     arena=None,
 ) -> bytes:
     """A :class:`LocalStepTask` as a tensor payload (``seq`` matches the
     reply to the request on a pipelined connection).
 
-    ``packed=True`` ships the state blob in the compact
-    :func:`~repro.nn.serialize.pack_state` format — only for receivers
-    that advertised the ``delta`` hello capability.  ``arena`` (optional,
-    packed mode only) lets the blob be gathered straight from the
+    ``arena`` (optional) lets the blob be gathered straight from the
     server's :class:`~repro.nn.arena.ParameterArena` buffer — identical
     bytes, without per-name array packing."""
     meta = {
@@ -295,7 +288,7 @@ def encode_task(
         "mask_reduce": list(task.mask.reduce),
     }
     # Delta-dispatch metadata is emitted only when present, so payloads
-    # of version-free tasks are byte-for-byte the historical format.
+    # of version-free tasks carry no version keys at all.
     if task.state_versions is not None:
         meta["state_versions"] = {
             name: int(task.state_versions[name]) for name in task.state
@@ -306,7 +299,7 @@ def encode_task(
         }
     # Trace context likewise rides only when present (tracing on *and*
     # the receiver advertised the ``tracing`` capability) — tracing-off
-    # payloads stay byte-for-byte the historical format.
+    # payloads carry no trace key at all.
     if task.trace is not None:
         meta["trace"] = task.trace.to_wire()
     return _pack_tensor_payload(
@@ -314,7 +307,6 @@ def encode_task(
         task.state,
         compression=compression,
         wire_dtype=wire_dtype,
-        packed=packed,
         arena=arena,
     )
 
@@ -331,6 +323,7 @@ def decode_task(payload: bytes) -> Tuple[LocalStepTask, int]:
         "mask_reduce",
     )
     try:
+        seq = int(meta["seq"])
         mask = ArchitectureMask(
             tuple(int(i) for i in meta["mask_normal"]),
             tuple(int(i) for i in meta["mask_reduce"]),
@@ -358,9 +351,9 @@ def decode_task(payload: bytes) -> Tuple[LocalStepTask, int]:
                 None if trace_wire is None else TraceContext.from_wire(trace_wire)
             ),
         )
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, KeyError, OverflowError) as exc:
         raise ProtocolError(f"malformed task meta: {exc}") from exc
-    return task, int(meta["seq"])
+    return task, seq
 
 
 def encode_update(
@@ -388,7 +381,7 @@ def encode_update(
         "compute_time_s": update.compute_time_s,
     }
     # Worker span payload piggybacks in the JSON meta only when the task
-    # carried a trace context; untraced replies keep the historical bytes.
+    # carried a trace context; untraced replies carry no spans key.
     if update.spans is not None:
         meta["spans"] = update.spans
     return _pack_tensor_payload(
@@ -411,6 +404,7 @@ def decode_update(payload: bytes) -> Tuple[ParticipantUpdate, int]:
                 f"update blob carries array {name!r} outside the g:/b: namespaces"
             )
     try:
+        seq = int(meta["seq"])
         update = ParticipantUpdate(
             participant_id=int(meta["participant_id"]),
             gradients=gradients,
@@ -420,6 +414,6 @@ def decode_update(payload: bytes) -> Tuple[ParticipantUpdate, int]:
             buffers=buffers,
             spans=meta.get("spans"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed update meta: {exc}") from exc
-    return update, int(meta["seq"])
+    return update, seq

@@ -151,7 +151,7 @@ class TestVersioning:
 
 
 # ----------------------------------------------------------------------
-# Packed state blobs (the delta-mode wire format)
+# Packed state blobs (the tensor-blob wire format)
 # ----------------------------------------------------------------------
 class TestPackedState:
     def state(self):
@@ -183,11 +183,15 @@ class TestPackedState:
             unpack_state(pack_state(state, dtype="float64")[:-3])
 
     def test_much_smaller_than_npz_for_many_small_arrays(self):
-        from repro.nn import pack_state, state_to_bytes
+        import io
+
+        from repro.nn import pack_state
 
         state = {f"p{i}": np.zeros(8) for i in range(40)}
         packed = len(pack_state(state, dtype="float64"))
-        npz = len(state_to_bytes(state, dtype="float64"))
+        buffer = io.BytesIO()  # the npz container tensor blobs once used
+        np.savez(buffer, **state)
+        npz = len(buffer.getvalue())
         assert packed < npz / 3
 
     def test_packed_task_payload_round_trips(self):
@@ -205,9 +209,8 @@ class TestPackedState:
             batch_seed=9,
             state_versions={name: 1 for name in supernet.submodel_state(mask)},
         )
-        payload = codec.encode_task(task, 5, packed=True)
-        plain = codec.encode_task(task, 5, packed=False)
-        assert len(payload) < len(plain)
+        payload = codec.encode_task(task, 5)
+        assert payload[0] & codec._FLAG_PACKED
         decoded, seq = codec.decode_task(payload)
         assert seq == 5
         assert decoded.state_versions == task.state_versions

@@ -6,7 +6,8 @@ Four layers under test:
   bit flips, and oversized lengths must raise :class:`ProtocolError`
   cleanly (never hang a read loop);
 * the message codecs — lossless float64 round-trips, lossy float16,
-  zlib, and the exact :func:`payload_size_bytes` accounting;
+  zlib, golden bytes and fuzzing of the packed tensor payloads, and the
+  exact :func:`payload_size_bytes` accounting;
 * the worker daemon — an in-thread :class:`WorkerServer` speaking real
   sockets, surviving garbage connections;
 * the :class:`SocketBackend` — bit-identity with the serial backend,
@@ -15,8 +16,10 @@ Four layers under test:
 """
 
 import os
+import io
 import signal
 import socket
+import struct
 import threading
 import time
 import zlib
@@ -30,12 +33,12 @@ from repro.federated import (
     LocalStepTask,
     Participant,
     ParticipantSpec,
+    ParticipantUpdate,
     SerialBackend,
     run_local_step,
 )
-from repro.nn import payload_size_bytes, state_size_bytes
-from repro.nn.serialize import bytes_to_state, state_to_bytes
-from repro.search_space import Supernet, SupernetConfig
+from repro.nn import pack_state, payload_size_bytes, state_size_bytes, unpack_state
+from repro.search_space import ArchitectureMask, Supernet, SupernetConfig
 from repro.telemetry import Telemetry
 from repro.transport import (
     HEADER_BYTES,
@@ -289,9 +292,185 @@ class TestMessageCodecs:
             )
 
 
+def tiny_task():
+    return LocalStepTask(
+        participant_id=1,
+        round_index=2,
+        mask=ArchitectureMask((0, 3), (1, 2)),
+        state={"w": np.array([1.0, -2.0]), "b": np.array([[0.5]])},
+        batch_seed=9,
+    )
+
+
+def tiny_update():
+    return ParticipantUpdate(
+        participant_id=1,
+        gradients={"w": np.array([0.25, -1.0])},
+        reward=0.125,
+        num_samples=8,
+        compute_time_s=0.5,
+        buffers={"bn.running_mean": np.array([3.0])},
+    )
+
+
+def packed_entry(name, dtype_str, shape, data):
+    """One packed-blob entry, spelled out field by field."""
+    return (
+        len(name).to_bytes(2, "big")
+        + name
+        + bytes([len(dtype_str)])
+        + dtype_str
+        + bytes([len(shape)])
+        + b"".join(dim.to_bytes(4, "big") for dim in shape)
+        + data
+    )
+
+
+#: a valid update meta header, for hand-built update payloads
+UPDATE_META = codec.encode_json(
+    {"seq": 5, "participant_id": 1, "reward": 0.0, "num_samples": 1,
+     "compute_time_s": 0.0, "wire_dtype": "float64"}
+)
+
+
+def tensor_payload(meta, blob, flags=0x02):
+    return bytes([flags]) + len(meta).to_bytes(4, "big") + meta + blob
+
+
+class TestPackedTensorPayloads:
+    """Pin the one tensor-blob format tasks and updates travel in."""
+
+    def test_golden_task_payload(self):
+        """If this test breaks, the task wire format changed."""
+        meta = (
+            b'{"batch_seed":9,"mask_normal":[0,3],"mask_reduce":[1,2],'
+            b'"participant_id":1,"round_index":2,"seq":5,"wire_dtype":"float64"}'
+        )
+        golden = tensor_payload(
+            meta,
+            packed_entry(b"w", b"<f8", (2,), struct.pack("<2d", 1.0, -2.0))
+            + packed_entry(b"b", b"<f8", (1, 1), struct.pack("<d", 0.5)),
+        )
+        assert codec.encode_task(tiny_task(), 5) == golden
+        decoded, seq = codec.decode_task(golden)
+        assert seq == 5 and decoded.mask == tiny_task().mask
+        assert decoded.state["b"].shape == (1, 1)
+
+    def test_golden_update_payload(self):
+        """If this test breaks, the update wire format changed."""
+        meta = (
+            b'{"compute_time_s":0.5,"num_samples":8,"participant_id":1,'
+            b'"reward":0.125,"seq":5,"wire_dtype":"float64"}'
+        )
+        golden = tensor_payload(
+            meta,
+            packed_entry(b"g:w", b"<f8", (2,), struct.pack("<2d", 0.25, -1.0))
+            + packed_entry(
+                b"b:bn.running_mean", b"<f8", (1,), struct.pack("<d", 3.0)
+            ),
+        )
+        assert codec.encode_update(tiny_update(), 5) == golden
+        decoded, seq = codec.decode_update(golden)
+        assert seq == 5 and decoded.reward == 0.125
+        np.testing.assert_array_equal(decoded.gradients["w"], [0.25, -1.0])
+        np.testing.assert_array_equal(decoded.buffers["bn.running_mean"], [3.0])
+
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_fuzz_truncations_and_byte_flips_raise_only_protocol_error(
+        self, compression
+    ):
+        """Every truncation and single-byte flip of a task and an update
+        payload either decodes or raises ProtocolError — nothing else."""
+        task = codec.encode_task(tiny_task(), 5, compression=compression)
+        update = codec.encode_update(tiny_update(), 5, compression=compression)
+        cases = ((codec.decode_task, task), (codec.decode_update, update))
+        for decode, payload in cases:
+            variants = [payload[:cut] for cut in range(len(payload))]
+            for index in range(len(payload)):
+                for mask in (0x01, 0x80, 0xFF):
+                    flipped = bytearray(payload)
+                    flipped[index] ^= mask
+                    variants.append(bytes(flipped))
+            for variant in variants:
+                try:
+                    decode(variant)
+                except ProtocolError:
+                    pass
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seq", float("inf")), ("seq", [5]), ("participant_id", {}),
+         ("trace", {"id": "run"}), ("mask_normal", [99])],
+    )
+    def test_malformed_task_meta_raises_protocol_error(self, field, value):
+        payload = codec.encode_task(tiny_task(), 5)
+        blob_start = 5 + int.from_bytes(payload[1:5], "big")
+        meta = codec.decode_json(payload[5:blob_start])
+        meta[field] = value
+        bad = tensor_payload(codec.encode_json(meta), payload[blob_start:])
+        with pytest.raises(ProtocolError, match="malformed task meta"):
+            codec.decode_task(bad)
+
+    def test_malformed_error_seq_raises_protocol_error(self):
+        with pytest.raises(ProtocolError):
+            codec.decode_error(codec.encode_json({"seq": "five", "error": "x"}))
+
+    def test_payload_without_packed_flag_rejected(self):
+        payload = codec.encode_task(tiny_task(), 5)
+        with pytest.raises(ProtocolError, match="npz"):
+            codec.decode_task(bytes([payload[0] & ~0x02]) + payload[1:])
+        # ...including a real npz blob, as peers before the packed format sent
+        buffer = io.BytesIO()
+        np.savez(buffer, **{"g:w": np.array([0.25, -1.0])})
+        with pytest.raises(ProtocolError, match="npz"):
+            codec.decode_update(
+                tensor_payload(UPDATE_META, buffer.getvalue(), flags=0)
+            )
+
+    @pytest.mark.parametrize(
+        "dtype_str, data",
+        [(b"|S3", b"1e9nan"), (b"<c16", struct.pack("<4d", 1.0, 2.0, 3.0, 4.0)),
+         (b"<i8", struct.pack("<2q", 1, 2)), (b"O", b"\x00" * 16)],
+    )
+    def test_non_float_dtypes_rejected(self, dtype_str, data):
+        """A peer may name only float16/32/64: a byte string must not be
+        parsed as numbers, nor a complex array cut to its real part."""
+        with pytest.raises(ValueError, match="bad dtype"):
+            unpack_state(packed_entry(b"w", dtype_str, (2,), data))
+        with pytest.raises(ProtocolError, match="bad dtype"):
+            codec.decode_update(
+                tensor_payload(UPDATE_META, packed_entry(b"g:w", dtype_str, (2,), data))
+            )
+
+    def test_both_byte_orders_of_every_wire_precision_accepted(self):
+        for dtype_str in (b"<f2", b">f2", b"<f4", b">f4", b"<f8", b">f8"):
+            dtype = np.dtype(dtype_str.decode())
+            data = np.array([1.5, -2.0], dtype=dtype).tobytes()
+            back = unpack_state(packed_entry(b"w", dtype_str, (2,), data))
+            assert back["w"].dtype == np.float64
+            np.testing.assert_array_equal(back["w"], [1.5, -2.0])
+
+    def test_repeated_entry_name_rejected(self):
+        entry = packed_entry(b"w", b"<f8", (1,), struct.pack("<d", 1.0))
+        with pytest.raises(ValueError, match="repeats entry 'w'"):
+            unpack_state(entry + entry)
+
+    def test_oversized_dims_report_truncation(self):
+        """Dims promising more data than the blob holds fail the bounds
+        check before any allocation, however large their product."""
+        entry = packed_entry(b"w", b"<f8", (0xFFFFFFFF,) * 3, b"")
+        with pytest.raises(ValueError, match="truncated packed state blob"):
+            unpack_state(entry)
+
+    def test_zero_dim_entry_keeps_its_shape(self):
+        back = unpack_state(pack_state({"s": np.array(2.5)}, dtype="float64"))
+        assert back["s"].shape == ()
+        assert back["s"] == 2.5
+
+
 class TestPayloadSizes:
     def test_exact_vs_analytic(self):
-        """Satellite 1: the npz container costs real bytes beyond the
+        """The packed blob's per-entry headers cost real bytes beyond the
         4-bytes/scalar analytic model, and compression shrinks it."""
         rng = np.random.default_rng(3)
         supernet = Supernet(TINY, rng=rng)
@@ -307,10 +486,8 @@ class TestPayloadSizes:
         assert exact64 > exact32  # double precision, double array bytes
         assert exact_z < exact64  # zlib helps
         # and the number is *exact*: it equals the bytes actually built
-        assert exact64 == len(state_to_bytes(state, dtype="float64"))
-        assert exact_z == len(
-            state_to_bytes(state, dtype="float64", compress=True)
-        )
+        assert exact64 == len(pack_state(state, dtype="float64"))
+        assert exact_z == len(pack_state(state, dtype="float64", compress=True))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -322,11 +499,11 @@ class TestPayloadSizes:
 
     def test_round_trip_through_bytes(self):
         state = {"w": np.arange(6, dtype=np.float64).reshape(2, 3)}
-        blob = state_to_bytes(state, dtype="float64", compress=True)
-        back = bytes_to_state(blob, compressed=True)
+        blob = pack_state(state, dtype="float64", compress=True)
+        back = unpack_state(blob, compressed=True)
         np.testing.assert_array_equal(back["w"], state["w"])
         with pytest.raises(ValueError):
-            bytes_to_state(b"garbage", compressed=True)
+            unpack_state(b"garbage", compressed=True)
 
 
 # ----------------------------------------------------------------------
